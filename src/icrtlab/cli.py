@@ -82,6 +82,8 @@ def _merge_config(args):
                          ("out", None), ("format", "json")):
         flag = getattr(args, key, None)
         setattr(args, key, flag if flag is not None else cfg.get(key, default))
+    if not isinstance(args.workers, int) or args.workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {args.workers!r}")
     return cfg
 
 
@@ -116,6 +118,8 @@ def _cmd_sample(args):
         p = np.array([float(w) for w in args.weights.split(",")])
         if p.size != args.n:
             raise ValueError("--weights length must equal --n")
+        if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must be positive and sum to 1")
         parent = _sample_ptree_parent(p, rng)
         _emit(args, PTree(args.n, parent).to_json(),
               _manifest(args, kind=kind, n=args.n, weights=args.weights))

@@ -256,10 +256,9 @@ def infimum_point(path: StepPath):
     cand_times = np.concatenate((path.times, [path.domain_end]))
     if values.size < 2:
         raise AmbiguousInfimumError("no jumps: infimum point undefined")
-    order = np.argsort(values, kind="stable")
-    if values[order[1]] - values[order[0]] <= COLLISION_TOL:
+    i = int(np.argmin(values))
+    if np.partition(values, 1)[1] - values[i] <= COLLISION_TOL:
         raise AmbiguousInfimumError("tied infimum candidates")
-    i = int(order[0])
     return float(cand_times[i]), float(values[i])
 
 
@@ -299,16 +298,18 @@ def vervaat_inverse(excursion: StepPath, rho):
     return StepPath(T, excursion.drift, new_times, new_sizes, kind="bridge")
 
 
-def record_ancestors(path: StepPath, t, eps=0.0):
-    """Jump times s <= t with x(s-) < min over [s, t] and jump size > eps.
+def _ancestor_indices(path: StepPath, t):
+    """Indices of the jumps at times s <= t with x(s-) < min over [s, t].
 
-    For eps = 0 this is the LIFO ancestor line of the customer in service at
-    time t; the jump at t itself (if any) is always included.
+    This is the LIFO ancestor line, root first, of the customer in service at
+    time t.  For jumps i < j <= t the condition x(s_i-) < min(x(s_m-), i < m
+    <= j) is lifo_tree's parent rule, comparison for comparison; empty when
+    no left limit up to t lies below x(t) (the root is then in service).
     """
     path._check_domain(t)
     i1 = np.searchsorted(path.times, t, side="right")
     if i1 == 0:
-        return []
+        return np.empty(0, dtype=np.intp)
     lefts = path._lefts[:i1]
     vt = path.eval(t)
     # suffix minima of the left limits strictly after each jump, then the
@@ -318,5 +319,14 @@ def record_ancestors(path: StepPath, t, eps=0.0):
     if i1 > 1:
         rev = np.minimum.accumulate(np.minimum(lefts[1:], vt)[::-1])[::-1]
         suffix[:-1] = rev
-    keep = (lefts < suffix) & (path.sizes[:i1] > eps)
-    return path.times[:i1][keep].tolist()
+    return np.nonzero(lefts < suffix)[0]
+
+
+def record_ancestors(path: StepPath, t, eps=0.0):
+    """Jump times s <= t with x(s-) < min over [s, t] and jump size > eps.
+
+    For eps = 0 this is the LIFO ancestor line of the customer in service at
+    time t; the jump at t itself (if any) is always included.
+    """
+    idx = _ancestor_indices(path, t)
+    return path.times[idx[path.sizes[idx] > eps]].tolist()

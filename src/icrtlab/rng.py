@@ -7,8 +7,6 @@ of how replicates are distributed across workers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -20,14 +18,3 @@ def make_generator(seed: int, stream: int = 0, *subkeys: int) -> np.random.Gener
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in (stream, *subkeys)))
     return np.random.Generator(np.random.Philox(ss))
-
-
-@dataclass(frozen=True)
-class RngSeed:
-    """A reproducible stream identifier."""
-
-    seed: int
-    stream: int = 0
-
-    def generator(self, *subkeys: int) -> np.random.Generator:
-        return make_generator(self.seed, self.stream, *subkeys)

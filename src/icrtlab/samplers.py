@@ -47,7 +47,7 @@ def _bridge_from_sizes(sizes_by_label, rng, drift=None):
     """
     n = len(sizes_by_label)
     chi = rng.random(n)
-    order = np.argsort(chi, kind="stable")
+    order = np.argsort(chi)
     times = chi[order]
     sizes = np.asarray(sizes_by_label, dtype=float)[order]
     if drift is None:

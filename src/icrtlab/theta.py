@@ -196,6 +196,10 @@ def parse_theta_spec(spec, rng=None):
     """
     kind, _, rest = spec.partition(":")
     parts = [p for p in rest.split(",") if p]
+    arity = {"geometric": (2,), "polynomial": (3,), "stable": (2, 3)}
+    if kind in arity and len(parts) not in arity[kind]:
+        raise ValueError(f"{kind} spec takes {' or '.join(map(str, arity[kind]))} "
+                         f"values, got {len(parts)}: {spec!r}")
     if kind == "geometric":
         r, n = float(parts[0]), int(parts[1])
         if not 0 < r < 1:

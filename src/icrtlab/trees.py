@@ -8,7 +8,9 @@ Three routes to a tree live here:
   arrival, jump size = service time, path value = server load);
 * the labelled spanning trees built on top of either route, with leaf labels
   1..k, a root leaf 0 and branch points b1, b2, ... ordered by their least
-  leaf pairs.
+  leaf pairs.  The genealogy route reads only the ancestor chains of the k
+  customers in service at the marks (paths._ancestor_indices), never the
+  full genealogy.
 """
 from __future__ import annotations
 
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import PathDomainError, StepPath, _g_d_window, running_min, tau
+from .paths import (PathDomainError, StepPath, _ancestor_indices, _g_d_window,
+                    running_min, tau)
 
 
 class _Cemetery:
@@ -61,15 +64,6 @@ class OrderedTree:
             if w and w[-1] > 1 and w[:-1] + (w[-1] - 1,) not in self.words:
                 raise ValueError(f"sibling gap at {w}")
         return self
-
-    def children_count(self, w):
-        c = 0
-        while w + (c + 1,) in self.words:
-            c += 1
-        return c
-
-    def serial(self):
-        return sorted(self.words)
 
 
 class LabelledTree:
@@ -142,24 +136,13 @@ def build_labelled(k, root, children, leaf_label):
         cc[v] = kids
         stack.extend(kids)
 
-    # least leaf label under each node, and the least-pair key per branch
+    # least leaf label under each node, and the least-pair key per branch;
+    # cc holds every node after its parent, so the reversed walk meets
+    # children first
     leaf_min = {}
-
-    def post(v):
-        if v in leaf_label:
-            leaf_min[v] = leaf_label[v]
-            return
-        for c in cc[v]:
-            post(c)
-        leaf_min[v] = min(leaf_min[c] for c in cc[v])
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 10000 + len(cc)))
-    try:
-        post(root)
-    finally:
-        sys.setrecursionlimit(old)
+    for v in reversed(cc):
+        leaf_min[v] = (leaf_label[v] if v in leaf_label
+                       else min(leaf_min[c] for c in cc[v]))
 
     branch_keys = []
     for v, kids in cc.items():
@@ -237,16 +220,13 @@ def extract_tree(path: StepPath, marks):
     return OrderedTree(frozenset(words), tuple(mark_word))
 
 
-def to_labelled(tree: OrderedTree, leaf_perm, mode="icrt"):
+def to_labelled(tree: OrderedTree, leaf_perm):
     """Labelled spanning tree of an extraction result.
 
     leaf_perm is a permutation of 1..k applied to the marks in their argument
     order; a root leaf labelled 0 is attached above the tree root.  Returns
-    CEMETERY when the marks do not sit on k distinct leaves.  mode ("stable"
-    or "icrt") names the source process; the labelling rules coincide.
+    CEMETERY when the marks do not sit on k distinct leaves.
     """
-    if mode not in ("stable", "icrt"):
-        raise ValueError("mode must be 'stable' or 'icrt'")
     k = len(tree.mark_words)
     perm = list(leaf_perm)
     if sorted(perm) != list(range(1, k + 1)):
@@ -365,35 +345,32 @@ def spanning_from_projection(path: StepPath, marks, leaf_perm):
     """Labelled subtree of the LIFO genealogy spanned by the root and the
     in-service vertices q(mark_i).
 
-    As in to_labelled, a root leaf labelled 0 is attached above the genealogy
-    root, which is then contracted when it has degree 2 and named as a branch
+    Only the k ancestor chains are built: the chain of mark t is the record
+    jumps up to t (paths._ancestor_indices), which ends at the customer q(t)
+    that serve_projection names, or the root chain [0] when the root is in
+    service; it equals lifo_tree(path).ancestors(q(t)).  As in to_labelled,
+    a root leaf labelled 0 is attached above the genealogy root (jump 0),
+    which is then contracted when it has degree 2 and named as a branch
     point otherwise.  CEMETERY when the q's are not k distinct leaves of the
     spanned subtree.
     """
+    if path.kind != "excursion":
+        raise PathDomainError("spanning_from_projection needs an excursion-type path")
     marks = np.asarray(marks, dtype=float).reshape(-1)
     k = marks.size
     perm = list(leaf_perm)
     if sorted(perm) != list(range(1, k + 1)):
         raise ValueError("leaf_perm must be a permutation of 1..k")
-    gen = lifo_tree(path)
-    qs = []
-    for t in marks:
-        qt = serve_projection(path, float(t))
-        i = int(np.searchsorted(path.times, qt))
-        qs.append(i)
-    if len(set(qs)) < k:
-        return CEMETERY
-    root = int(np.nonzero(gen.parent < 0)[0][0])
-    chains = [gen.ancestors(v) for v in qs]
+    chains = [_ancestor_indices(path, float(t)).tolist() or [0] for t in marks]
+    qs = [chain[-1] for chain in chains]
     qset = set(qs)
-    for v, chain in zip(qs, chains):
-        if qset.intersection(chain[:-1]) - {v}:
-            return CEMETERY
+    if len(qset) < k or any(qset.intersection(chain[:-1]) for chain in chains):
+        return CEMETERY
     spanned = {}
     for chain in chains:
         for p, c in zip(chain, chain[1:]):
             spanned.setdefault(p, set()).add(c)
     children = {v: sorted(cs) for v, cs in spanned.items()}
-    children[_ROOT] = [root]
+    children[_ROOT] = [0]
     leaf_label = {v: perm[i] for i, v in enumerate(qs)}
     return build_labelled(k, _ROOT, children, leaf_label)

@@ -63,6 +63,28 @@ class TestSample:
         assert "error" in err
 
 
+@pytest.mark.parametrize("argv,code,fragment", [
+    (["--workers", "0", "verify", "height", "--param", "height.reps=2"], 2,
+     "workers must be a positive integer"),
+    (["--workers", "-3", "verify", "height", "--param", "height.reps=2"], 2,
+     "workers must be a positive integer"),
+    (["sample", "ptree", "--n", "3", "--weights", "0.5,0.5,0.5"], 2,
+     "weights must be positive and sum to 1"),
+    (["sample", "ptree", "--n", "2", "--weights", "1.5,-0.5"], 2,
+     "weights must be positive and sum to 1"),
+    (["sample", "theta", "--spec", "geometric:0.5"], 2,
+     "geometric spec takes 2 values, got 1"),
+    (["sample", "theta", "--spec", "polynomial:1,1"], 2,
+     "polynomial spec takes 3 values, got 2"),
+])
+def test_bad_input_exit_code(argv, code, fragment, capsys):
+    got, out, err = run(argv, capsys)
+    assert got == code
+    assert out == ""
+    assert err.startswith("error:") and fragment in err
+    assert len(err.strip().splitlines()) == 1
+
+
 class TestExtract:
     @pytest.fixture
     def path_file(self, tmp_path, capsys):

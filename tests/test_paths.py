@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from icrtlab.paths import (AmbiguousInfimumError, PathDomainError, StepPath,
-                           g_d, infimum_point, record_ancestors, running_min,
-                           sigma, tau, vervaat, vervaat_inverse)
+from icrtlab.paths import (COLLISION_TOL, AmbiguousInfimumError,
+                           PathDomainError, StepPath, g_d, infimum_point,
+                           record_ancestors, running_min, sigma, tau, vervaat,
+                           vervaat_inverse)
 from icrtlab.rng import make_generator
 
 
@@ -118,6 +119,33 @@ class TestVervaat:
             back = vervaat_inverse(vervaat(y), rho)
             assert np.array_equal(back.times, y.times)
             assert np.array_equal(back.sizes, y.sizes)
+
+    def test_infimum_point_matches_stable_argsort(self):
+        def reference(path):
+            values = np.concatenate((path._lefts, [path.eval(path.domain_end)]))
+            cand = np.concatenate((path.times, [path.domain_end]))
+            order = np.argsort(values, kind="stable")
+            if values[order[1]] - values[order[0]] <= COLLISION_TOL:
+                raise AmbiguousInfimumError("tie")
+            return float(cand[order[0]]), float(values[order[0]])
+
+        # dyadic grid times and sizes: exact ties are frequent
+        rng = make_generator(11)
+        ties = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            times = np.sort(rng.choice(16, size=n, replace=False)) / 16
+            sizes = rng.integers(1, 4, size=n) / 4
+            y = StepPath(1.0, -float(sizes.sum()), times, sizes)
+            try:
+                expected = reference(y)
+            except AmbiguousInfimumError:
+                ties += 1
+                with pytest.raises(AmbiguousInfimumError):
+                    infimum_point(y)
+                continue
+            assert infimum_point(y) == expected
+        assert 0 < ties < 300
 
     def test_ambiguous_tie(self):
         # two left limits both at the minimum -1 within tolerance

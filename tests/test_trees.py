@@ -1,12 +1,15 @@
+import sys
+
 import numpy as np
 import pytest
 
 from icrtlab.paths import StepPath
 from icrtlab.rng import make_generator
 from icrtlab.samplers import sample_marks, sample_X_n
-from icrtlab.trees import (CEMETERY, LabelledTree, OrderedTree, extract_tree,
-                           lifo_tree, serve_projection, spanning_from_marks,
-                           spanning_from_projection, to_labelled)
+from icrtlab.trees import (CEMETERY, LabelledTree, OrderedTree, build_labelled,
+                           extract_tree, lifo_tree, serve_projection,
+                           spanning_from_marks, spanning_from_projection,
+                           to_labelled)
 
 
 @pytest.fixture
@@ -164,3 +167,104 @@ class TestTwoRoutes:
         b = spanning_from_projection(p, marks, [1, 2, 3])
         assert a == b
         assert b.canonical() == "1:b1|2:b1|3:b2|b1:b2|b2:0"
+
+
+def reference_projection(path, marks, leaf_perm):
+    """spanning_from_projection read off the full LIFO genealogy: the served
+    customers q(t), their chains lifo_tree(path).ancestors(q), the genealogy
+    root below a root leaf 0."""
+    gen = lifo_tree(path)
+    qs = [int(np.searchsorted(path.times, serve_projection(path, float(t))))
+          for t in marks]
+    k = len(qs)
+    if len(set(qs)) < k:
+        return CEMETERY
+    chains = [gen.ancestors(v) for v in qs]
+    qset = set(qs)
+    for v, chain in zip(qs, chains):
+        if qset.intersection(chain[:-1]) - {v}:
+            return CEMETERY
+    spanned = {}
+    for chain in chains:
+        for p, c in zip(chain, chain[1:]):
+            spanned.setdefault(p, set()).add(c)
+    children = {v: sorted(cs) for v, cs in spanned.items()}
+    root_leaf = object()
+    children[root_leaf] = [int(np.nonzero(gen.parent < 0)[0][0])]
+    leaf_label = {v: leaf_perm[i] for i, v in enumerate(qs)}
+    return build_labelled(k, root_leaf, children, leaf_label)
+
+
+class TestProjectionChains:
+    """The chain-based projection equals the full-genealogy reference."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_random_excursions(self, k):
+        outcomes = set()
+        for rep in range(200):
+            g = make_generator(41, k, rep)
+            x, _ = sample_X_n(np.full(500, 1.0 / 500), g)
+            perm = (g.permutation(k) + 1).tolist()
+            for marks in (sample_marks(k, g, x),
+                          x.times[np.sort(g.choice(x.times.size, k, replace=False))]):
+                b = spanning_from_projection(x, marks, perm)
+                assert b == reference_projection(x, marks, perm)
+                outcomes.add(b is CEMETERY)
+        assert outcomes == ({False} if k == 1 else {False, True})
+
+    @pytest.mark.parametrize("times,sizes,marks,expected", [
+        # marks at jump times: the jump's own customer is in service
+        pytest.param([0.0, 0.2, 0.6], [0.5, 0.25, 0.25], [0.2, 0.6],
+                     "1:b1|2:b1|b1:0", id="jump-times-siblings"),
+        pytest.param([0.0, 0.2, 0.6], [0.5, 0.25, 0.25], [0.0, 0.2, 0.6],
+                     "∂", id="jump-times-with-root"),
+        pytest.param([0.0, 0.1, 0.2], [0.5, 0.3, 0.2], [0.0, 0.1, 0.2],
+                     "∂", id="jump-times-nested"),
+        # a mark served by the root: its chain is the root alone
+        pytest.param([0.0, 0.25], [0.4, 0.6], [0.1], "1:0", id="root-served"),
+        pytest.param([0.0, 0.2, 0.6], [0.5, 0.25, 0.25], [0.1, 0.3, 0.65],
+                     "∂", id="root-served-above-others"),
+        # at the end x = 0: no left limit lies below it, the root serves
+        pytest.param([0.0, 0.25], [0.4, 0.6], [1.0], "1:0", id="end-mark"),
+        pytest.param([0.0, 0.25], [0.4, 0.6], [0.3, 1.0], "∂", id="end-mark-above"),
+        # equal left limits: customer 1 has left when customer 2 arrives
+        pytest.param([0.0, 0.25, 0.5], [0.5, 0.25, 0.25], [0.375, 0.625],
+                     "1:b1|2:b1|b1:0", id="equal-left-limits"),
+        # two marks served by one customer
+        pytest.param([0.0, 0.2, 0.6], [0.5, 0.25, 0.25], [0.1, 0.9],
+                     "∂", id="root-served-twice"),
+        pytest.param([0.0, 0.25], [0.4, 0.6], [0.3, 0.6, 0.1],
+                     "∂", id="child-served-twice"),
+        # nested q's: one served customer is an ancestor of another
+        pytest.param([0.0, 0.1, 0.2], [0.5, 0.3, 0.2], [0.05, 0.15],
+                     "∂", id="nested-root-child"),
+        pytest.param([0.0, 0.1, 0.15, 0.3, 0.6], [0.4, 0.3, 0.05, 0.05, 0.2],
+                     [0.12, 0.17, 0.7], "∂", id="nested-grandchild"),
+        pytest.param([0.0, 0.1, 0.15, 0.3, 0.6], [0.4, 0.3, 0.05, 0.05, 0.2],
+                     [0.17, 0.32, 0.7], "1:b1|2:b1|3:b2|b1:b2|b2:0",
+                     id="branch-at-root"),
+    ])
+    def test_hand_built(self, times, sizes, marks, expected):
+        p = StepPath(1.0, -1.0, times, sizes, kind="excursion")
+        perm = list(range(1, len(marks) + 1))
+        b = spanning_from_projection(p, marks, perm)
+        assert b == reference_projection(p, marks, perm)
+        assert b.canonical() == expected
+
+
+def test_build_labelled_deep_caterpillar():
+    # spine s0 -> s1 -> ... with one leaf per spine vertex: depth ~ 20 000
+    m = 19_999
+    children = {"root": [("s", 0)]}
+    for i in range(m):
+        nxt = ("s", i + 1) if i < m - 1 else ("l", m)
+        children[("s", i)] = [("l", i), nxt]
+    leaf_label = {("l", i): i + 1 for i in range(m + 1)}
+    limit = sys.getrecursionlimit()
+    lt = build_labelled(m + 1, "root", children, leaf_label)
+    assert sys.getrecursionlimit() == limit
+    assert lt.branch_count() == m
+    assert lt.parents["b1"] == "0"
+    assert lt.parents[f"b{m}"] == f"b{m - 1}"
+    assert lt.parents["1"] == "b1"
+    assert lt.parents[str(m)] == lt.parents[str(m + 1)] == f"b{m}"
