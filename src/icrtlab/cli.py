@@ -18,10 +18,9 @@ from .linebreak import sample_line_breaking
 from .paths import COLLISION_TOL, PathDomainError, StepPath
 from .ptree import PTree
 from .rng import make_generator
-from .samplers import sample_marks, sample_X_n, sample_X_theta
+from .samplers import sample_marks, sample_ptree, sample_X_n, sample_X_theta
 from .theta import parse_theta_spec
 from .trees import CEMETERY, spanning_from_marks
-from .experiments import _sample_ptree_parent
 
 
 def _add_global_flags(p):
@@ -120,7 +119,7 @@ def _cmd_sample(args):
             raise ValueError("--weights length must equal --n")
         if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to 1")
-        parent = _sample_ptree_parent(p, rng)
+        parent = sample_ptree(p, rng)
         _emit(args, PTree(args.n, parent).to_json(),
               _manifest(args, kind=kind, n=args.n, weights=args.weights))
     elif kind == "path":

@@ -8,7 +8,7 @@ count.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from time import perf_counter
 
@@ -21,8 +21,8 @@ from .paths import (AmbiguousInfimumError, StepPath, _vervaat_at,
 from .ptree import cayley_pmf, enumerate_rooted_trees
 from .recovery import estimate_distance, icrt_normalizer
 from .rng import make_generator
-from .samplers import (RESAMPLE_CAP, sample_marks, sample_stable_jump_surrogate,
-                       sample_X_n, sample_X_theta)
+from .samplers import (RESAMPLE_CAP, sample_marks, sample_ptree,
+                       sample_stable_jump_surrogate, sample_X_n, sample_X_theta)
 from .stats import chi_square_gof, chi_square_two_sample, ks_two_sample, ks_uniform
 from .theta import (ThetaParam, gamma_coverage, parse_theta_spec, psi, psi_inv,
                     stable_constants, stable_phi_integral)
@@ -56,20 +56,19 @@ class ExperimentReport:
     wall_time: float
 
     def to_json(self):
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "max_deviation": self.max_deviation,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "replicate_count": self.replicate_count,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise ValueError("report must be a JSON object")
+        keys = [f.name for f in fields(cls)]
+        unknown = sorted(set(obj) - set(keys))
+        missing = [k for k in keys if k not in obj]
+        if unknown:
+            raise ValueError(f"unknown report keys: {', '.join(unknown)}")
+        if missing:
+            raise ValueError(f"missing report keys: {', '.join(missing)}")
         return cls(**obj)
 
     @staticmethod
@@ -86,48 +85,9 @@ class ExperimentReport:
 # -- shared sampling helpers -------------------------------------------------
 
 
-def _sample_ptree_parent(p, rng):
-    """Parent tuple (1-based labels, 0 at root) of the LIFO tree of the
-    excursion of the weighted bridge, with jump labels tracked through the
-    cyclic shift."""
-    n = p.size
-    for _ in range(RESAMPLE_CAP):
-        chi = rng.random(n)
-        order = np.argsort(chi, kind="stable")
-        times = chi[order]
-        sizes = p[order]
-        try:
-            bridge = StepPath(1.0, -1.0, times, sizes, kind="bridge")
-            rho, _ = infimum_point(bridge)
-            exc = _vervaat_at(bridge, rho)
-        except (AmbiguousInfimumError, ValueError):
-            continue
-        j0 = int(np.searchsorted(times, rho, side="left"))
-        labels = np.concatenate((order[j0:], order[:j0])) + 1
-        gen = lifo_tree(exc)
-        parent = [0] * n
-        for j in range(n):
-            pj = int(gen.parent[j])
-            parent[labels[j] - 1] = 0 if pj < 0 else int(labels[pj])
-        return tuple(parent)
-    raise RuntimeError("bridge resampling cap exceeded")
-
-
 def _random_weights(rng, n):
     w = rng.random(n) + 0.01
     return w / w.sum()
-
-
-def _lifo_words(gen):
-    """Word of every genealogy vertex (parents always precede children)."""
-    words = {}
-    for v in range(gen.n):
-        if gen.parent[v] < 0:
-            words[v] = ()
-    for v in range(gen.n):
-        for rank, c in enumerate(gen.children[v], start=1):
-            words[c] = words[v] + (rank,)
-    return words
 
 
 # -- 1: exact tree law of the projected excursion ----------------------------
@@ -139,7 +99,7 @@ def _cayley_rep(cfg, seed, stream, rep):
     else:
         tag, p = 4, np.full(4, 0.25)
     rng = make_generator(seed, stream, 1, rep)
-    return tag, _sample_ptree_parent(p, rng)
+    return tag, sample_ptree(p, rng)
 
 
 def _cayley_agg(results, cfg):
@@ -165,10 +125,7 @@ def _lifo_rep(cfg, seed, stream, rep):
     n = int(rng.integers(1, cfg["n_max"] + 1))
     exc, _ = sample_X_n(_random_weights(rng, n), rng)
     gen = lifo_tree(exc)
-    words = _lifo_words(gen)
-    tree = extract_tree(exc, exc.times)
-    ok = (tree.words == frozenset(words.values()) | {()}
-          and tuple(tree.mark_words) == tuple(words[j] for j in range(n)))
+    ok = extract_tree(exc, exc.times) == gen.to_ordered()
     if ok:
         # brute-force interval nesting: parent of j is the latest earlier
         # arrival whose service interval still covers j's arrival

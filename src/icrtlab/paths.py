@@ -113,6 +113,11 @@ class StepPath:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise ValueError("path must be a JSON object")
+        missing = [k for k in ("domain_end", "drift", "kind") if k not in obj]
+        if missing:
+            raise ValueError(f"missing path keys: {', '.join(missing)}")
         jumps = obj.get("jumps", [])
         times = [j[0] for j in jumps]
         sizes = [j[1] for j in jumps]

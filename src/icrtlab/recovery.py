@@ -86,12 +86,3 @@ def path_distance_estimate(path: StepPath, t1, t2, eps, norm: Normalizer):
         return len(record_ancestors(path, t, eps)) * norm.distance_norm(eps)
 
     return droot(t1) + droot(t2) - 2.0 * droot(b)
-
-
-def empirical_mass(leaves):
-    """Uniform weights over leaf identifiers."""
-    leaves = list(leaves)
-    if not leaves:
-        return {}
-    w = 1.0 / len(leaves)
-    return {leaf: w for leaf in leaves}

@@ -1,5 +1,5 @@
 """Seeded samplers for marks, exchangeable bridges, their excursion
-transforms, and the truncated stable-jump surrogate.
+transforms, p-trees, and the truncated stable-jump surrogate.
 
 All samplers take an explicit numpy Generator (see rng.make_generator) and
 are deterministic in it.
@@ -11,6 +11,7 @@ import numpy as np
 from .paths import (COLLISION_TOL, AmbiguousInfimumError, StepPath,
                     _vervaat_at, infimum_point)
 from .theta import ThetaParam, stable_constants
+from .trees import lifo_tree
 
 RESAMPLE_CAP = 100
 
@@ -93,6 +94,29 @@ def sample_X_theta(theta: ThetaParam, rng):
 def sample_X_n(p, rng):
     """(excursion, rho): the cyclic shift of sample_Y_n at its infimum."""
     return _excursion_from(lambda g: sample_Y_n(p, g), rng)
+
+
+def sample_ptree(p, rng):
+    """Parent tuple (1-based labels, 0 at the root) of a p-tree.
+
+    The tree is the LIFO genealogy of the excursion of a bridge with jumps
+    p(i) (sample_Y_n), with each jump keeping its label i through the cyclic
+    shift; its law is cayley_pmf(p).  The weights are not validated.
+    """
+    for _ in range(RESAMPLE_CAP):
+        try:
+            bridge, order = _bridge_from_sizes(p, rng, drift=-1.0)
+            rho, _ = infimum_point(bridge)
+            exc = _vervaat_at(bridge, rho)
+        except (AmbiguousInfimumError, ValueError):
+            continue
+        j0 = int(np.searchsorted(bridge.times, rho, side="left"))
+        labels = np.concatenate((order[j0:], order[:j0])).tolist()
+        parent = [0] * len(labels)
+        for label, pj in zip(labels, lifo_tree(exc).parent.tolist()):
+            parent[label] = 0 if pj < 0 else labels[pj] + 1
+        return tuple(parent)
+    raise RuntimeError("bridge resampling cap exceeded")
 
 
 def sample_stable_jump_surrogate(alpha, delta, rng):

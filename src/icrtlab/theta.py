@@ -8,7 +8,6 @@ the constants attached to a stable exponent alpha in (1, 2).
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -98,11 +97,6 @@ def psi(theta: ThetaParam, t, with_bound=False):
     if with_bound:
         return value, theta.tail_l2 * t * t / 2.0
     return value
-
-
-def varphi_sum(theta: ThetaParam, t):
-    """Alias of psi (the raw phi-sum)."""
-    return psi(theta, t)
 
 
 def psi_inv(theta: ThetaParam, y):
@@ -218,11 +212,3 @@ def parse_theta_spec(spec, rng=None):
             raise ValueError("stable spec requires a generator or an inline seed")
         return sample_stable_jump_surrogate(alpha, delta, rng)
     raise ValueError(f"unknown theta spec kind: {kind!r}")
-
-
-def theta_to_file(theta: ThetaParam, fp):
-    json.dump(theta.to_json(), fp, indent=2)
-
-
-def theta_from_file(fp):
-    return ThetaParam.from_json(json.load(fp))

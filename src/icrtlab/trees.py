@@ -257,14 +257,13 @@ def to_labelled(tree: OrderedTree, leaf_perm):
 class MarkedGenealogy:
     """Full LIFO tree over the jumps of an excursion path.
 
-    Vertices are jump indices in arrival order; service times are the jump
-    sizes.  parent is -1 at the root.
+    Vertices are jump indices in arrival order; parent is -1 at a root, and
+    every parent precedes its children.
     """
 
     parent: np.ndarray
     children: list
     arrival: np.ndarray
-    service: np.ndarray
 
     @property
     def n(self):
@@ -287,16 +286,17 @@ class MarkedGenealogy:
         return chain
 
     def to_ordered(self):
-        """The ordered tree of the genealogy (children in arrival order)."""
-        roots = [v for v in range(self.n) if self.parent[v] < 0]
-        if len(roots) != 1:
-            raise ValueError("genealogy is a forest")
-        words = {}
-        words[roots[0]] = ()
+        """The ordered tree of the genealogy, children ranked in arrival
+        order; mark_words holds the word of each vertex in arrival order.
+
+        Every root gets the empty word, so a forest (a later jump whose left
+        limit returns to 0) is read with its roots merged.
+        """
+        words = [()] * self.n
         for v in range(self.n):
             for rank, c in enumerate(self.children[v], start=1):
                 words[c] = words[v] + (rank,)
-        return frozenset(words.values())
+        return OrderedTree(frozenset(words), tuple(words))
 
 
 def lifo_tree(path: StepPath):
@@ -320,8 +320,7 @@ def lifo_tree(path: StepPath):
             parent[j] = stack[-1]
             children[stack[-1]].append(j)
         stack.append(j)
-    return MarkedGenealogy(parent=parent, children=children,
-                           arrival=path.times, service=path.sizes)
+    return MarkedGenealogy(parent=parent, children=children, arrival=path.times)
 
 
 def serve_projection(path: StepPath, t):

@@ -85,6 +85,31 @@ def test_bad_input_exit_code(argv, code, fragment, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+_REPORT = {"name": "height", "parameters": {}, "statistic": 0.0,
+           "p_value": None, "max_deviation": 0.0, "threshold": 1.0,
+           "passed": True, "replicate_count": 1, "wall_time": 0.0}
+_PATH = {"domain_end": 1.0, "drift": -1.0, "jumps": [[0.0, 1.0]],
+         "kind": "excursion"}
+
+
+@pytest.mark.parametrize("command,content,fragment", [
+    (["report"], [_REPORT], "report must be a JSON object"),
+    (["report"], {**_REPORT, "extra": 1}, "unknown report keys: extra"),
+    (["report"], {k: v for k, v in _REPORT.items() if k != "passed"},
+     "missing report keys: passed"),
+    (["extract", "--k", "1", "--path"],
+     {k: v for k, v in _PATH.items() if k != "kind"}, "missing path keys: kind"),
+    (["extract", "--k", "1", "--path"], "str", "path must be a JSON object"),
+])
+def test_bad_input_file_exit_code(command, content, fragment, tmp_path, capsys):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(content))
+    got, _, err = run(command + [str(f)], capsys)
+    assert got == 2
+    assert err.startswith("error:") and fragment in err
+    assert len(err.strip().splitlines()) == 1
+
+
 class TestExtract:
     @pytest.fixture
     def path_file(self, tmp_path, capsys):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from icrtlab.paths import StepPath
-from icrtlab.recovery import (EstimateResult, Normalizer, empirical_mass,
-                              estimate_distance, estimate_local_time,
-                              icrt_normalizer, path_distance_estimate,
-                              stable_normalizer)
+from icrtlab.recovery import (EstimateResult, Normalizer, estimate_distance,
+                              estimate_local_time, icrt_normalizer,
+                              path_distance_estimate, stable_normalizer)
 from icrtlab.rng import make_generator
 from icrtlab.theta import ThetaParam, gamma_coverage, psi, psi_inv
 
@@ -99,12 +98,3 @@ class TestPathDistance:
             for b in range(3):
                 for c in range(3):
                     assert d[(a, b)] <= d[(a, c)] + d[(c, b)] + 1e-9
-
-
-class TestEmpiricalMass:
-    def test_uniform(self):
-        m = empirical_mass(["a", "b", "c", "d"])
-        assert all(v == 0.25 for v in m.values())
-
-    def test_empty(self):
-        assert empirical_mass([]) == {}

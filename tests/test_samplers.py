@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from icrtlab.paths import (AmbiguousInfimumError, StepPath, _vervaat_at,
+                           infimum_point)
 from icrtlab.rng import make_generator
-from icrtlab.samplers import (sample_marks, sample_stable_jump_surrogate,
-                              sample_X_n, sample_X_theta, sample_Y_n,
-                              sample_Y_theta)
+from icrtlab.samplers import (RESAMPLE_CAP, sample_marks, sample_ptree,
+                              sample_stable_jump_surrogate, sample_X_n,
+                              sample_X_theta, sample_Y_n, sample_Y_theta)
 from icrtlab.theta import ThetaParam, stable_constants
+from icrtlab.trees import lifo_tree
 
 
 class TestMarks:
@@ -71,6 +74,43 @@ class TestExcursions:
         x2, r2 = sample_X_theta(th, make_generator(10))
         assert np.array_equal(x1.times, x2.times)
         assert r1 == r2
+
+
+def _reference_ptree(p, rng):
+    """Stand-alone p-tree sampler: labelled bridge built by hand, jump labels
+    carried through the cyclic shift."""
+    n = p.size
+    for _ in range(RESAMPLE_CAP):
+        chi = rng.random(n)
+        order = np.argsort(chi, kind="stable")
+        times = chi[order]
+        sizes = p[order]
+        try:
+            bridge = StepPath(1.0, -1.0, times, sizes, kind="bridge")
+            rho, _ = infimum_point(bridge)
+            exc = _vervaat_at(bridge, rho)
+        except (AmbiguousInfimumError, ValueError):
+            continue
+        j0 = int(np.searchsorted(times, rho, side="left"))
+        labels = np.concatenate((order[j0:], order[:j0])) + 1
+        gen = lifo_tree(exc)
+        parent = [0] * n
+        for j in range(n):
+            pj = int(gen.parent[j])
+            parent[labels[j] - 1] = 0 if pj < 0 else int(labels[pj])
+        return tuple(parent)
+    raise RuntimeError("bridge resampling cap exceeded")
+
+
+class TestPTree:
+    @pytest.mark.parametrize("p", [(0.5, 0.25, 0.25), (0.25,) * 4,
+                                   (0.1, 0.2, 0.3, 0.15, 0.25)])
+    def test_matches_reference(self, p):
+        p = np.asarray(p)
+        ra, rb = make_generator(13), make_generator(13)
+        for _ in range(500):
+            assert sample_ptree(p, ra) == _reference_ptree(p, rb)
+        assert ra.random() == rb.random()
 
 
 class TestStableSurrogate:

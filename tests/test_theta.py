@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,8 +7,7 @@ import pytest
 from icrtlab.rng import make_generator
 from icrtlab.theta import (ThetaParam, check_asymptotics, gamma_coverage,
                            parse_theta_spec, psi, psi_inv, stable_constants,
-                           stable_phi_integral, theta_from_file, theta_to_file,
-                           varphi_sum)
+                           stable_phi_integral)
 
 
 class TestThetaParam:
@@ -23,9 +23,9 @@ class TestThetaParam:
         th = ThetaParam(np.array([2.0, 1.0]), tail_l2=0.5, nominal_alpha=1.5)
         f = tmp_path / "theta.json"
         with open(f, "w") as fp:
-            theta_to_file(th, fp)
+            json.dump(th.to_json(), fp)
         with open(f) as fp:
-            again = theta_from_file(fp)
+            again = ThetaParam.from_json(json.load(fp))
         assert np.array_equal(again.atoms, th.atoms)
         assert again.tail_l2 == th.tail_l2
         assert again.nominal_alpha == th.nominal_alpha
@@ -42,10 +42,6 @@ class TestPsi:
     def test_two_atoms(self):
         v = psi(ThetaParam(np.array([2.0, 1.0])), 0.5)
         assert v == pytest.approx(0.474410, abs=1e-6)
-
-    def test_alias(self):
-        th = ThetaParam(np.array([1.0]))
-        assert varphi_sum(th, 1.0) == psi(th, 1.0)
 
     def test_tail_bound(self):
         th = ThetaParam(np.array([1.0]), tail_l2=0.3)

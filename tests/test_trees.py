@@ -101,7 +101,9 @@ class TestLifo:
     def test_nested_chain(self, nested3):
         gen = lifo_tree(nested3)
         assert gen.parent.tolist() == [-1, 0, 1]
-        assert gen.to_ordered() == frozenset({(), (1,), (1, 1)})
+        tree = gen.to_ordered()
+        assert tree.words == frozenset({(), (1,), (1, 1)})
+        assert tree.mark_words == ((), (1,), (1, 1))
         assert gen.depth(2) == 3
         assert gen.ancestors(2) == [0, 1, 2]
 
@@ -111,6 +113,15 @@ class TestLifo:
         gen = lifo_tree(p)
         assert gen.parent.tolist() == [-1, 0, 0]
         assert gen.children[0] == [1, 2]
+
+    def test_forest_roots_share_empty_word(self):
+        # the second jump's left limit returns to 0, so it starts a new root
+        p = StepPath(1.0, -1.0, [0.0, 0.5], [0.5, 0.5], kind="excursion")
+        gen = lifo_tree(p)
+        assert gen.parent.tolist() == [-1, -1]
+        tree = gen.to_ordered()
+        assert tree.words == frozenset({()})
+        assert tree.mark_words == ((), ())
 
     def test_serve_projection(self, exc):
         assert serve_projection(exc, 0.1) == 0.0
