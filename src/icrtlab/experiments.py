@@ -8,7 +8,7 @@ count.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from time import perf_counter
 
@@ -16,12 +16,12 @@ import numpy as np
 
 from .linebreak import (branch_count_on_path, branch_degree, reduced_tree,
                         sample_line_breaking)
-from .paths import (AmbiguousInfimumError, StepPath, _vervaat_at,
+from .paths import (AmbiguousInfimumError, StepPath, _is_number, _vervaat_at,
                     infimum_point, record_ancestors, sigma, vervaat_inverse)
 from .ptree import cayley_pmf, enumerate_rooted_trees
 from .recovery import estimate_distance, icrt_normalizer
-from .rng import make_generator
-from .samplers import (RESAMPLE_CAP, sample_marks, sample_ptree,
+from .rng import generator_block, make_generator
+from .samplers import (RESAMPLE_CAP, ptree_rows, sample_marks, sample_ptree,
                        sample_stable_jump_surrogate, sample_X_n, sample_X_theta)
 from .stats import chi_square_gof, chi_square_two_sample, ks_two_sample, ks_uniform
 from .theta import (ThetaParam, gamma_coverage, parse_theta_spec, psi, psi_inv,
@@ -35,6 +35,24 @@ _THETA_DEFAULT = "polynomial:1,1,50"
 @lru_cache(maxsize=16)
 def _theta(spec):
     return parse_theta_spec(spec)
+
+
+def _number_or_null(value):
+    return value is None or _is_number(value)
+
+
+# JSON value type of each report key, as (description, check)
+_REPORT_TYPES = {
+    "name": ("a string", lambda v: isinstance(v, str)),
+    "parameters": ("an object", lambda v: isinstance(v, dict)),
+    "statistic": ("a number", _is_number),
+    "p_value": ("a number or null", _number_or_null),
+    "max_deviation": ("a number or null", _number_or_null),
+    "threshold": ("a number", _is_number),
+    "passed": ("a boolean", lambda v: isinstance(v, bool)),
+    "replicate_count": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "wall_time": ("a number", _is_number),
+}
 
 
 @dataclass
@@ -69,6 +87,9 @@ class ExperimentReport:
             raise ValueError(f"unknown report keys: {', '.join(unknown)}")
         if missing:
             raise ValueError(f"missing report keys: {', '.join(missing)}")
+        for key, (kind, ok) in _REPORT_TYPES.items():
+            if not ok(obj[key]):
+                raise ValueError(f"report key {key!r} must be {kind}, got {obj[key]!r}")
         return cls(**obj)
 
     @staticmethod
@@ -93,13 +114,24 @@ def _random_weights(rng, n):
 # -- 1: exact tree law of the projected excursion ----------------------------
 
 
-def _cayley_rep(cfg, seed, stream, rep):
-    if rep < cfg["reps_n3"]:
-        tag, p = 3, np.asarray(cfg["p3"], dtype=float)
-    else:
-        tag, p = 4, np.full(4, 0.25)
-    rng = make_generator(seed, stream, 1, rep)
-    return tag, sample_ptree(p, rng)
+def _cayley_block(cfg, seed, stream, lo, hi):
+    # replicate r draws with make_generator(seed, stream, 1, r); rows that
+    # sample_ptree would redraw are rerun through it on that generator
+    out = []
+    n3 = cfg["reps_n3"]
+    for tag, p, a, b in ((3, np.asarray(cfg["p3"], dtype=float), lo, min(hi, n3)),
+                         (4, np.full(4, 0.25), max(lo, n3), hi)):
+        if b <= a:
+            continue
+        chi = np.empty((b - a, p.size))
+        for row, rng in zip(chi, generator_block(seed, stream, (1,), a, b)):
+            rng.random(out=row)
+        parent, retry = ptree_rows(p, chi)
+        rows = parent.tolist()
+        for i in np.flatnonzero(retry).tolist():
+            rows[i] = sample_ptree(p, make_generator(seed, stream, 1, a + i))
+        out += [(tag, tuple(row)) for row in rows]
+    return out
 
 
 def _cayley_agg(results, cfg):
@@ -352,53 +384,64 @@ def _height_rep(cfg, seed, stream, rep):
 # -- registry and runner -----------------------------------------------------
 
 
+def _sum_of(*keys):
+    return lambda cfg: sum(cfg[k] for k in keys)
+
+
 @dataclass(frozen=True)
 class _Driver:
-    rep: callable
-    agg: callable
-    defaults: dict = field(default_factory=dict)
+    """count(cfg) replicates, reduced by agg.  Replicate r is rep(cfg, seed,
+    stream, r); a kernel computes a block of them at once and returns what
+    the rep loop would."""
 
-    def count(self, cfg):
-        if "reps_n3" in cfg:
-            return cfg["reps_n3"] + cfg["reps_n4"]
-        if "bridge_reps" in cfg:
-            return cfg["bridge_reps"] + cfg["rho_reps"]
-        return cfg.get("reps", cfg.get("seeds"))
+    count: callable
+    agg: callable
+    defaults: dict
+    rep: callable = None
+    kernel: callable = None
+
+    def block(self, cfg, seed, stream, lo, hi):
+        """Results of replicates lo, ..., hi - 1, in order."""
+        if self.kernel is not None:
+            return self.kernel(cfg, seed, stream, lo, hi)
+        return [self.rep(cfg, seed, stream, r) for r in range(lo, hi)]
 
 
 EXPERIMENTS = {
-    "cayley": _Driver(_cayley_rep, _cayley_agg, {
+    "cayley": _Driver(_sum_of("reps_n3", "reps_n4"), _cayley_agg, {
         "reps_n3": 100000, "reps_n4": 100000,
-        "p3": (0.5, 0.25, 0.25), "threshold": 1e-3}),
-    "lifo": _Driver(_lifo_rep, _count_failures, {
-        "reps": 10000, "n_max": 8}),
-    "coupling": _Driver(_coupling_rep, _coupling_agg, {
-        "reps": 1000, "n": 10000, "k": 3, "threshold": 0.01}),
-    "two_route": _Driver(_two_route_rep, _two_route_agg, {
+        "p3": (0.5, 0.25, 0.25), "threshold": 1e-3}, kernel=_cayley_block),
+    "lifo": _Driver(_sum_of("reps"), _count_failures, {
+        "reps": 10000, "n_max": 8}, rep=_lifo_rep),
+    "coupling": _Driver(_sum_of("reps"), _coupling_agg, {
+        "reps": 1000, "n": 10000, "k": 3, "threshold": 0.01}, rep=_coupling_rep),
+    "two_route": _Driver(_sum_of("reps"), _two_route_agg, {
         "reps": 50000, "ks": (3, 4), "theta": _THETA_DEFAULT,
-        "threshold": 1e-3}),
-    "degree": _Driver(_degree_rep, _degree_agg, {
-        "seeds": 100, "k": 2000, "theta": _THETA_DEFAULT, "threshold": 0.15}),
-    "distance": _Driver(_distance_rep, _distance_agg, {
+        "threshold": 1e-3}, rep=_two_route_rep),
+    "degree": _Driver(_sum_of("seeds"), _degree_agg, {
+        "seeds": 100, "k": 2000, "theta": _THETA_DEFAULT, "threshold": 0.15},
+        rep=_degree_rep),
+    "distance": _Driver(_sum_of("seeds"), _distance_agg, {
         "seeds": 100, "eps": 0.02, "band": 0.10, "theta": _THETA_DEFAULT,
-        "threshold": 0.2}),
-    "asymptotics": _Driver(_asymptotics_rep, _asymptotics_agg, {
+        "threshold": 0.2}, rep=_distance_rep),
+    "asymptotics": _Driver(_sum_of("seeds"), _asymptotics_agg, {
         "seeds": 200, "alpha": 1.5, "delta": 1e-6, "cutoff": 1e-4,
-        "t": 100.0, "eps": 1e-3, "band": 0.1, "threshold": 0.05}),
-    "scaling": _Driver(_scaling_rep, _scaling_agg, {
-        "reps": 10000, "theta": _THETA_DEFAULT, "threshold": 1e-3}),
-    "vervaat": _Driver(_vervaat_rep, _vervaat_agg, {
+        "t": 100.0, "eps": 1e-3, "band": 0.1, "threshold": 0.05},
+        rep=_asymptotics_rep),
+    "scaling": _Driver(_sum_of("reps"), _scaling_agg, {
+        "reps": 10000, "theta": _THETA_DEFAULT, "threshold": 1e-3},
+        rep=_scaling_rep),
+    "vervaat": _Driver(_sum_of("bridge_reps", "rho_reps"), _vervaat_agg, {
         "bridge_reps": 1000, "rho_reps": 10000, "n_max": 50,
-        "theta": _THETA_DEFAULT, "threshold": 1e-3}),
-    "height": _Driver(_height_rep, _count_failures, {
-        "reps": 1000, "n_max": 100}),
+        "theta": _THETA_DEFAULT, "threshold": 1e-3}, rep=_vervaat_rep),
+    "height": _Driver(_sum_of("reps"), _count_failures, {
+        "reps": 1000, "n_max": 100}, rep=_height_rep),
 }
 
 
 def _rep_chunk(args):
     name, cfg, seed, stream, lo, hi = args
-    rep = EXPERIMENTS[name].rep
-    return [rep(cfg, seed, stream, r) for r in range(lo, hi)]
+    return EXPERIMENTS[name].block(cfg, seed, stream, lo, hi)
 
 
 def _run_reps(name, cfg, seed, stream, n, workers):

@@ -10,7 +10,6 @@ Euclidean lengths along the glued segments.
 from __future__ import annotations
 
 import heapq
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -86,9 +85,6 @@ class LineBrokenTree:
             "colors": self.colors,
             "joins": {str(i): x for i, x in self.joins.items()},
         }
-
-    def dump(self, fp):
-        json.dump(self.to_json(), fp, indent=2)
 
 
 def sample_line_breaking(theta: ThetaParam, k, rng):

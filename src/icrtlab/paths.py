@@ -18,6 +18,11 @@ COLLISION_TOL = 1e-12
 END_TOL = 1e-9
 
 
+def _is_number(value):
+    """True for a JSON number as json.load returns it (not a boolean)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class PathDomainError(ValueError):
     """Argument outside the path's time domain, or malformed interval."""
 
@@ -118,13 +123,16 @@ class StepPath:
         missing = [k for k in ("domain_end", "drift", "kind") if k not in obj]
         if missing:
             raise ValueError(f"missing path keys: {', '.join(missing)}")
+        for key in ("domain_end", "drift"):
+            if not _is_number(obj[key]):
+                raise ValueError(f"path key {key!r} must be a number, got {obj[key]!r}")
         jumps = obj.get("jumps", [])
+        if not (isinstance(jumps, list) and all(
+                isinstance(j, list) and len(j) == 2 and all(map(_is_number, j)) for j in jumps)):
+            raise ValueError("path jumps must be a list of [time, size] number pairs")
         times = [j[0] for j in jumps]
         sizes = [j[1] for j in jumps]
         return cls(obj["domain_end"], obj["drift"], times, sizes, kind=obj["kind"])
-
-    def dump(self, fp):
-        json.dump(self.to_json(), fp, indent=2)
 
     @classmethod
     def load(cls, fp):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .paths import (COLLISION_TOL, AmbiguousInfimumError, StepPath,
+from .paths import (COLLISION_TOL, END_TOL, AmbiguousInfimumError, StepPath,
                     _vervaat_at, infimum_point)
 from .theta import ThetaParam, stable_constants
 from .trees import lifo_tree
@@ -117,6 +117,62 @@ def sample_ptree(p, rng):
             parent[label] = 0 if pj < 0 else labels[pj] + 1
         return tuple(parent)
     raise RuntimeError("bridge resampling cap exceeded")
+
+
+def _bad_times(times, sizes):
+    """Rows that StepPath's time and size checks reject (domain_end 1)."""
+    return ((np.diff(times, axis=1) <= 0).any(axis=1) | (times[:, 0] < 0)
+            | (times[:, -1] >= 1.0) | (sizes <= 0).any(axis=1))
+
+
+def ptree_rows(p, chi):
+    """sample_ptree's first attempt on each row of chi, an (R, n) array of
+    the uniforms that attempt draws.
+
+    Returns (parent, retry).  parent is an (R, n) int array whose row r is
+    the parent tuple sample_ptree returns when its first attempt on chi[r]
+    succeeds.  retry[r] is True where that attempt raises and sample_ptree
+    draws again, or where a value is not finite; parent[r] is then
+    meaningless.  Every float and check is the one _bridge_from_sizes,
+    StepPath, infimum_point, _vervaat_at and lifo_tree compute, row by row.
+    """
+    p = np.asarray(p, dtype=float)
+    R, n = chi.shape
+    if n == 0:
+        return np.zeros((R, 0), dtype=np.int64), np.ones(R, dtype=bool)
+    rows = np.arange(R)[:, None]
+    order = np.argsort(chi, axis=1)
+    times = chi[rows, order]
+    sizes = p[order]
+    csum = np.zeros((R, n + 1))
+    np.cumsum(sizes, axis=1, out=csum[:, 1:])
+    end = -1.0 + csum[:, -1]
+    end[np.abs(end) <= END_TOL] = 0.0
+    values = np.concatenate((-1.0 * times + csum[:, :-1], end[:, None]), axis=1)
+    low2 = np.sort(values, axis=1)[:, :2]
+    retry = (_bad_times(times, sizes) | ~np.isfinite(values).all(axis=1)
+             | (low2[:, 1] - low2[:, 0] <= COLLISION_TOL))
+    # cyclic shift at the first argmin: jump j0 moves to time 0
+    j0 = np.argmin(values, axis=1)[:, None]
+    rho = np.where(j0 < n, times[rows, np.minimum(j0, n - 1)], 1.0)
+    idx = (np.arange(n) + j0) % n
+    shifted = times[rows, idx]
+    shifted = np.where(np.arange(n) < n - j0, shifted - rho, shifted + (1.0 - rho))
+    sizes = sizes[rows, idx]
+    np.cumsum(sizes, axis=1, out=csum[:, 1:])
+    lefts = -1.0 * shifted + csum[:, :-1]
+    retry |= (_bad_times(shifted, sizes) | ~np.isfinite(lefts).all(axis=1)
+              | (lefts < -COLLISION_TOL).any(axis=1)
+              | (np.abs(-1.0 + csum[:, -1]) > END_TOL))
+    # lifo_tree: the parent is the nearest earlier, strictly smaller left limit
+    up = np.full((R, n), -1)
+    for j in range(1, n):
+        smaller = lefts[:, :j] < lefts[:, j:j + 1]
+        up[:, j] = np.where(smaller.any(axis=1), j - 1 - np.argmax(smaller[:, ::-1], axis=1), -1)
+    labels = order[rows, idx]
+    parent = np.empty((R, n), dtype=np.int64)
+    parent[rows, labels] = np.where(up < 0, 0, labels[rows, up] + 1)
+    return parent, retry
 
 
 def sample_stable_jump_surrogate(alpha, delta, rng):

@@ -14,7 +14,6 @@ Three routes to a tree live here:
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +102,6 @@ class LabelledTree:
     @classmethod
     def from_json(cls, obj):
         return cls(obj["k"], obj["parents"])
-
-    def dump(self, fp):
-        json.dump(self.to_json(), fp, indent=2)
 
 
 _ROOT = object()  # sentinel for the root leaf labelled 0

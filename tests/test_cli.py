@@ -76,6 +76,8 @@ class TestSample:
      "geometric spec takes 2 values, got 1"),
     (["sample", "theta", "--spec", "polynomial:1,1"], 2,
      "polynomial spec takes 3 values, got 2"),
+    (["--stream", "-1", "verify", "cayley", "--param", "cayley.reps_n3=2",
+      "--param", "cayley.reps_n4=2"], 2, "expected non-negative integer"),
 ])
 def test_bad_input_exit_code(argv, code, fragment, capsys):
     got, out, err = run(argv, capsys)
@@ -100,6 +102,12 @@ _PATH = {"domain_end": 1.0, "drift": -1.0, "jumps": [[0.0, 1.0]],
     (["extract", "--k", "1", "--path"],
      {k: v for k, v in _PATH.items() if k != "kind"}, "missing path keys: kind"),
     (["extract", "--k", "1", "--path"], "str", "path must be a JSON object"),
+    (["report"], {**_REPORT, "statistic": None},
+     "report key 'statistic' must be a number, got None"),
+    (["extract", "--k", "1", "--path"], {**_PATH, "jumps": [1, 2]},
+     "path jumps must be a list of [time, size] number pairs"),
+    (["extract", "--k", "1", "--path"], {**_PATH, "jumps": [[None, 1.0]]},
+     "path jumps must be a list of [time, size] number pairs"),
 ])
 def test_bad_input_file_exit_code(command, content, fragment, tmp_path, capsys):
     f = tmp_path / "input.json"

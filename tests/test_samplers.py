@@ -4,7 +4,7 @@ import pytest
 from icrtlab.paths import (AmbiguousInfimumError, StepPath, _vervaat_at,
                            infimum_point)
 from icrtlab.rng import make_generator
-from icrtlab.samplers import (RESAMPLE_CAP, sample_marks, sample_ptree,
+from icrtlab.samplers import (RESAMPLE_CAP, ptree_rows, sample_marks, sample_ptree,
                               sample_stable_jump_surrogate, sample_X_n,
                               sample_X_theta, sample_Y_n, sample_Y_theta)
 from icrtlab.theta import ThetaParam, stable_constants
@@ -111,6 +111,71 @@ class TestPTree:
         for _ in range(500):
             assert sample_ptree(p, ra) == _reference_ptree(p, rb)
         assert ra.random() == rb.random()
+
+
+class _Retried(Exception):
+    pass
+
+
+class _OneRow:
+    """Generator stub: the first random(n) returns row; a second call means
+    the sampler's first attempt raised and it drew again."""
+
+    def __init__(self, row):
+        self.row, self.calls = row, 0
+
+    def random(self, n):
+        self.calls += 1
+        if self.calls > 1:
+            raise _Retried
+        assert n == len(self.row)
+        return np.array(self.row, dtype=float)
+
+
+def _first_attempt(p, row):
+    try:
+        return sample_ptree(p, _OneRow(row))
+    except _Retried:
+        return None
+
+
+class TestPTreeRows:
+    """ptree_rows against sample_ptree's first attempt on the same uniforms."""
+
+    @staticmethod
+    def check(p, chi):
+        p, chi = np.asarray(p, dtype=float), np.asarray(chi, dtype=float)
+        parent, retry = ptree_rows(p, chi)
+        for row, got, again in zip(chi, parent.tolist(), retry.tolist()):
+            want = _first_attempt(p, row)
+            assert again == (want is None), row
+            if want is not None:
+                assert tuple(got) == want, row
+        return retry
+
+    @pytest.mark.parametrize("p", [(0.5, 0.25, 0.25), (0.25,) * 4,
+                                   (0.1, 0.2, 0.3, 0.15, 0.25)])
+    def test_random_rows(self, p):
+        chi = make_generator(31).random((2000, len(p)))
+        assert not self.check(p, chi).any()
+
+    def test_repeated_chi(self):
+        assert self.check((0.5, 0.25, 0.25), [[0.3, 0.7, 0.3]]).all()
+
+    def test_tied_left_limits(self):
+        assert self.check((0.25,) * 4, [[0.1, 0.35, 0.6, 0.85]]).all()
+
+    @pytest.mark.parametrize("p", [(0.5, 0.25, 0.25), (0.25,) * 4])
+    def test_dyadic_grid(self, p):
+        chi = make_generator(32).integers(0, 8, (500, len(p))) / 8
+        retry = self.check(p, chi)
+        assert retry.any() and not retry.all()
+
+    def test_zero_weight(self):
+        p = np.array([0.5, 0.5, 0.0])
+        assert self.check(p, make_generator(33).random((20, 3))).all()
+        with pytest.raises(RuntimeError, match="bridge resampling cap exceeded"):
+            sample_ptree(p, make_generator(33))
 
 
 class TestStableSurrogate:
